@@ -1,13 +1,11 @@
-"""Shard scaling: serial vs parallel shard builds, single vs sharded serving.
+"""Shard scaling: single vs sharded serving, build cost per shard count.
 
 The scaling claims behind :mod:`repro.shard`:
 
-* the offline phase parallelises — building N shards on a pool
-  approaches the cost of the slowest shard instead of the sum (the
-  speedup column is bounded by the machine's core count: on a 1-core
-  runner it is honestly ~1.0x);
 * the online phase keeps its answers — sharded ``batch_query`` merges to
-  exactly the single-index result while spreading the scan.
+  exactly the single-index result while spreading the scan;
+* the sweep harness reports build seconds, throughput and accuracy per
+  shard count over the instrumented serving path.
 
 Results are written to ``benchmarks/results/shard_scaling.txt`` (human
 readable) and ``benchmarks/results/bench_shard.json`` (machine readable,
@@ -24,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -35,7 +32,7 @@ from repro.service import QueryRequest, SearchService
 from repro.shard import ShardedIndex
 
 #: (build spec, shard factory params) — a trainable backend so the
-#: offline phase has real work to parallelise.
+#: offline phase does real work per shard.
 SHARD_SPEC = ("kmeans", dict(n_bins=32, seed=0, max_iterations=25))
 SHARD_COUNTS = (1, 2, 4, 8)
 K = 10
@@ -51,26 +48,6 @@ def run_shard_benchmark(smoke: bool = False):
     if smoke:
         params = dict(params, n_bins=4)
     data = sift_like(gt_k=K, seed=7, **scale)
-
-    # -- offline: serial vs thread-parallel shard builds ---------------- #
-    build_rows = []
-    for n_shards in shard_counts:
-        seconds = {}
-        for mode in ("serial", "thread"):
-            start = time.perf_counter()
-            index = ShardedIndex(
-                n_shards, spec=spec, shard_params=params, parallel=mode
-            ).build(data.base)
-            seconds[mode] = time.perf_counter() - start
-            index.close()
-        build_rows.append(
-            [
-                n_shards,
-                round(seconds["serial"], 3),
-                round(seconds["thread"], 3),
-                round(seconds["serial"] / max(seconds["thread"], 1e-9), 2),
-            ]
-        )
 
     # -- online: single index vs sharded scatter-gather ----------------- #
     single = make_index(spec, **params).build(data.base)
@@ -134,29 +111,17 @@ def run_shard_benchmark(smoke: bool = False):
         ]
         for p in curve
     ]
-    return build_rows, serve_rows, curve_rows, scale
+    return serve_rows, curve_rows, scale
 
 
-def format_report(build_rows, serve_rows, curve_rows, scale) -> str:
+def format_report(serve_rows, curve_rows, scale) -> str:
     cores = os.cpu_count() or 1
     header = (
         f"shard scaling on {scale['n_points']} points, dim={scale['dim']}, "
         f"{scale['n_queries']} queries, {cores} cpu core(s)"
     )
-    if cores == 1:
-        header += (
-            "\nnote: single-core host — the parallel-build speedup column is"
-            "\nbounded at ~1.0x here; rerun on a multi-core machine to observe"
-            "\nthe offline-phase scaling (CI asserts speedup when cores > 1)."
-        )
     sections = [
         header,
-        format_table(
-            ["shards", "serial build s", "parallel build s", "speedup"],
-            build_rows,
-            title="offline: serial vs thread-parallel shard build",
-            float_format="{:.3f}",
-        ),
         format_table(
             ["index", "shards", "qps"],
             serve_rows,
@@ -173,19 +138,9 @@ def format_report(build_rows, serve_rows, curve_rows, scale) -> str:
     return "\n\n".join(sections)
 
 
-def json_rows(build_rows, serve_rows, curve_rows) -> list:
-    """The three report tables flattened into one machine-readable list."""
+def json_rows(serve_rows, curve_rows) -> list:
+    """The two report tables flattened into one machine-readable list."""
     rows = []
-    for n_shards, serial_s, thread_s, speedup in build_rows:
-        rows.append(
-            {
-                "section": "build",
-                "n_shards": n_shards,
-                "serial_seconds": serial_s,
-                "parallel_seconds": thread_s,
-                "speedup": speedup,
-            }
-        )
     for kind, n_shards, qps in serve_rows:
         rows.append(
             {"section": "serve", "index": kind, "n_shards": n_shards, "qps": qps}
@@ -203,13 +158,13 @@ def json_rows(build_rows, serve_rows, curve_rows) -> list:
     return rows
 
 
-def write_results(build_rows, serve_rows, curve_rows, scale, smoke: bool, out_dir=None) -> str:
+def write_results(serve_rows, curve_rows, scale, smoke: bool, out_dir=None) -> str:
     from conftest import smoke_artifact_guard
 
     results_dir = out_dir or os.path.join(os.path.dirname(__file__), "results")
     os.makedirs(results_dir, exist_ok=True)
     suffix = "_smoke" if smoke else ""
-    text = format_report(build_rows, serve_rows, curve_rows, scale)
+    text = format_report(serve_rows, curve_rows, scale)
     text_path = os.path.join(results_dir, f"shard_scaling{suffix}.txt")
     smoke_artifact_guard(text_path, smoke=smoke)
     with open(text_path, "w") as handle:
@@ -219,7 +174,7 @@ def write_results(build_rows, serve_rows, curve_rows, scale, smoke: bool, out_di
         "smoke": bool(smoke),
         "k": K,
         "scale": dict(scale),
-        "rows": json_rows(build_rows, serve_rows, curve_rows),
+        "rows": json_rows(serve_rows, curve_rows),
     }
     # the smoke suffix keeps CI/local smoke runs from clobbering the
     # committed full-scale trajectory (same convention as the .txt)
@@ -233,21 +188,10 @@ def write_results(build_rows, serve_rows, curve_rows, scale, smoke: bool, out_di
 def test_shard_scaling(benchmark, report):
     from conftest import run_once
 
-    build_rows, serve_rows, curve_rows, scale = run_once(
-        benchmark, run_shard_benchmark
-    )
-    report(
-        "shard_scaling", format_report(build_rows, serve_rows, curve_rows, scale)
-    )
-    write_results(build_rows, serve_rows, curve_rows, scale, smoke=False)
-    # Acceptance: the merge already asserted exactness inside the run; the
-    # parallel build must not regress materially against serial (and shows
-    # a real speedup wherever more than one core exists).
-    for _, serial_s, thread_s, _speedup in build_rows:
-        assert thread_s <= serial_s * 1.5, (serial_s, thread_s)
-    if (os.cpu_count() or 1) > 1:
-        best = max(row[3] for row in build_rows)
-        assert best > 1.0, f"no parallel build speedup observed: {build_rows}"
+    serve_rows, curve_rows, scale = run_once(benchmark, run_shard_benchmark)
+    report("shard_scaling", format_report(serve_rows, curve_rows, scale))
+    # Acceptance: the merge asserted exactness inside the run.
+    write_results(serve_rows, curve_rows, scale, smoke=False)
 
 
 def main(argv=None) -> int:
@@ -256,9 +200,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     out_dir, argv = resolve_out_dir(argv)
     smoke = "--smoke" in argv
-    build_rows, serve_rows, curve_rows, scale = run_shard_benchmark(smoke=smoke)
-    print(format_report(build_rows, serve_rows, curve_rows, scale))
-    json_path = write_results(build_rows, serve_rows, curve_rows, scale, smoke, out_dir=out_dir)
+    serve_rows, curve_rows, scale = run_shard_benchmark(smoke=smoke)
+    print(format_report(serve_rows, curve_rows, scale))
+    json_path = write_results(serve_rows, curve_rows, scale, smoke, out_dir=out_dir)
     print(f"\nwritten to {json_path} (and shard_scaling.txt alongside)")
     return 0
 

@@ -56,7 +56,8 @@ from .errors import (
     api_error_from,
 )
 from .http import HttpRequest, HttpResponse
-from .metrics import Histogram, ServerMetrics
+from ..obs.metrics import Histogram
+from .metrics import ServerMetrics
 from .server import (
     DEADLINE_HEADER,
     TENANT_HEADER,

@@ -8,10 +8,10 @@ text-format (version 0.0.4) page, so the numbers operators scrape are
 the same numbers the in-process benchmarks report.
 
 The histogram and exposition-format primitives live in
-:mod:`repro.obs.metrics` (the shared telemetry layer) and are
-re-exported here for compatibility; this module keeps the HTTP-specific
-:class:`ServerMetrics` and the renderers that fold service, replication,
-tenant, and per-stage tracing series into the ``/metrics`` page.
+:mod:`repro.obs.metrics` (the shared telemetry layer); this module keeps
+the HTTP-specific :class:`ServerMetrics` and the renderers that fold
+service, replication, tenant, and per-stage tracing series into the
+``/metrics`` page.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..obs.metrics import (  # noqa: F401  (re-exported for compatibility)
+from ..obs.metrics import (
     DEPTH_BUCKETS,
     LATENCY_BUCKETS,
     Histogram,
@@ -27,10 +27,6 @@ from ..obs.metrics import (  # noqa: F401  (re-exported for compatibility)
     emit_gauge as _gauge,
     emit_histogram as _histogram,
     emit_labeled_histogram as _labeled_histogram,
-    escape_label_value,
-    format_labels,
-    format_value,
-    lint_prometheus_text,
 )
 
 

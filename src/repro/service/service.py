@@ -123,6 +123,8 @@ class SearchService:
         # Tracer; stats() then reports sampling rate and span loss.
         self.tracer = None
         self._pool: Optional[ThreadPoolExecutor] = None
+        # Concurrent cold requests must not each create (and leak) a pool.
+        self._pool_lock = threading.Lock()
         # Serialises stats() assembly against cache invalidation so one
         # snapshot never mixes pre- and post-mutation counters.
         self._stats_lock = threading.Lock()
@@ -324,17 +326,19 @@ class SearchService:
         return ids, distances
 
     def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix=f"svc-{self.name}"
-            )
-        return self._pool
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.max_workers, thread_name_prefix=f"svc-{self.name}"
+                )
+            return self._pool
 
     def close(self) -> None:
         """Shut down the thread pool (idempotent; the service stays usable)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        with self._pool_lock:
+            if self._pool is not None:
+                self._pool.shutdown(wait=True)
+                self._pool = None
 
     def __enter__(self) -> "SearchService":
         return self

@@ -3,10 +3,11 @@
 One logical index, N child shards (any registered backend, mixed
 backends allowed):
 
-* :class:`ShardedIndex` — parallel shard builds, scatter-gather queries
-  with an exact global top-k merge, post-build ``add`` / ``remove`` /
-  ``compact`` mutation, and persistence as a directory of shard
-  artifacts plus a manifest;
+* :class:`ShardedIndex` — shard builds on a thread pool, scatter-gather
+  queries with an exact global top-k merge (one-row queries scan the
+  shards inline, larger batches fan out over the pool), post-build
+  ``add`` / ``remove`` / ``compact`` mutation, and persistence as a
+  directory of shard artifacts plus a manifest;
 * :class:`Partitioner` strategies — :class:`RoundRobinPartitioner`,
   :class:`ContiguousPartitioner`, :class:`KMeansRoutePartitioner` —
   assigning base vectors to shards and routing later additions.
@@ -29,7 +30,7 @@ from .partitioner import (
     available_partitioners,
     make_partitioner,
 )
-from .sharded import PARALLEL_MODES, ShardedIndex
+from .sharded import ShardedIndex
 
 __all__ = [
     "ContiguousPartitioner",
@@ -38,6 +39,5 @@ __all__ = [
     "RoundRobinPartitioner",
     "available_partitioners",
     "make_partitioner",
-    "PARALLEL_MODES",
     "ShardedIndex",
 ]

@@ -4,8 +4,8 @@
 (any registered backend, mixed backends allowed):
 
 * the offline phase partitions the base with a
-  :class:`~repro.shard.partitioner.Partitioner` and builds every shard in
-  parallel on a thread or process pool;
+  :class:`~repro.shard.partitioner.Partitioner` and builds every shard on
+  the index's thread pool;
 * ``query`` / ``batch_query`` scatter to all shards and gather with an
   exact global top-k merge over the shard-local results (re-ranked
   distances, local ids remapped to global ids), so a sharded exact
@@ -41,9 +41,6 @@ from ..utils.distances import pairwise_topk
 from ..utils.exceptions import ConfigurationError, NotFittedError, ValidationError
 from ..utils.validation import as_float_matrix, as_query_matrix, check_positive_int
 from .partitioner import Partitioner, make_partitioner, partitioner_from_state
-
-#: parallel build/scatter strategies
-PARALLEL_MODES = ("thread", "process", "serial")
 
 _SHARDED_CAPABILITIES = IndexCapabilities(
     metrics=("euclidean", "sqeuclidean", "cosine"),
@@ -87,7 +84,7 @@ def _instantiate_child(name: str, params: Mapping[str, Any], metric: str):
 
 
 def _build_shard(args):
-    """Build one shard (top-level so a process pool can pickle the task)."""
+    """Build one shard from a ``(name, params, metric, subset)`` task."""
     name, params, metric, subset = args
     if subset.shape[0] == 0:
         return None
@@ -120,14 +117,6 @@ class ShardedIndex(RegisteredIndex):
     metric:
         Distance metric used by the pending-buffer scan and threaded
         through to every shard that supports it.
-    parallel:
-        ``"thread"`` (default; NumPy kernels release the GIL so shard
-        builds and the query fan-out genuinely overlap), ``"process"``
-        (fully independent build workers; shards must pickle), or
-        ``"serial"``.
-    max_workers:
-        Pool width for parallel build/scatter (default: one per shard,
-        capped at 8).
     compact_threshold:
         Auto-compact when ``(pending + tombstoned) / live`` exceeds this
         fraction after a mutation; ``None`` disables auto-compaction
@@ -135,6 +124,13 @@ class ShardedIndex(RegisteredIndex):
 
     Notes
     -----
+    Scatter policy: a one-row ``batch_query`` (and so every ``query``)
+    scans its shards inline on the calling thread, where a pool hop
+    costs more than the scan it would overlap; multi-row batches and
+    shard builds run on one lazily created thread pool of
+    ``min(n_shards, 8)`` workers (NumPy kernels release the GIL, so the
+    per-shard scans genuinely overlap).
+
     Concurrency model: single writer, concurrent readers.  Queries may
     run from many threads (the serving layer does), and a mutation
     racing a query yields either the pre- or the post-mutation answer —
@@ -152,20 +148,10 @@ class ShardedIndex(RegisteredIndex):
         shard_params=None,
         partitioner="round-robin",
         metric: str = "euclidean",
-        parallel: str = "thread",
-        max_workers: Optional[int] = None,
         compact_threshold: Optional[float] = 0.25,
     ) -> None:
         self.n_shards = check_positive_int(n_shards, "n_shards")
-        if parallel not in PARALLEL_MODES:
-            raise ConfigurationError(
-                f"unknown parallel mode {parallel!r}; expected one of {PARALLEL_MODES}"
-            )
-        self.parallel = parallel
         self.metric = str(metric)
-        self.max_workers = (
-            int(max_workers) if max_workers else min(self.n_shards, 8)
-        )
         if compact_threshold is not None and float(compact_threshold) <= 0:
             raise ConfigurationError("compact_threshold must be positive (or None)")
         self.compact_threshold = (
@@ -234,6 +220,11 @@ class ShardedIndex(RegisteredIndex):
                     f"shard backend {name!r} does not support metric "
                     f"{child_metric!r} (supported: {capabilities.metrics})"
                 )
+            if not capabilities.filterable:
+                raise ConfigurationError(
+                    f"shard backend {name!r} is not filterable; the composite "
+                    "pushes filters down to every shard"
+                )
 
     @property
     def shard_specs(self) -> List[Tuple[str, Dict[str, Any]]]:
@@ -244,7 +235,7 @@ class ShardedIndex(RegisteredIndex):
     # offline phase
     # ------------------------------------------------------------------ #
     def build(self, base: np.ndarray) -> "ShardedIndex":
-        """Partition ``base`` and build every shard (in parallel)."""
+        """Partition ``base`` and build every shard (on the thread pool)."""
         start = time.perf_counter()
         data = as_float_matrix(base, name="base")
         labels = np.asarray(
@@ -297,13 +288,8 @@ class ShardedIndex(RegisteredIndex):
             (name, params, self.metric, self._data[members])
             for (name, params), members in zip(self._specs, shard_ids)
         ]
-        if self.parallel == "serial" or self.n_shards == 1:
+        if self.n_shards == 1:
             shards = [_build_shard(task) for task in tasks]
-        elif self.parallel == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-                shards = list(pool.map(_build_shard, tasks))
         else:
             shards = list(self._executor().map(_build_shard, tasks))
         self._serve_state = (shards, shard_ids, np.empty(0, dtype=np.int64))
@@ -422,7 +408,7 @@ class ShardedIndex(RegisteredIndex):
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="shard"
+                    max_workers=min(self.n_shards, 8), thread_name_prefix="shard"
                 )
             return self._pool
 
@@ -451,10 +437,8 @@ class ShardedIndex(RegisteredIndex):
         shard honours it, so this is not the dropped-knob situation
         :meth:`IndexCapabilities.query_kwargs` warns about.
         """
-        if probes is None:
-            return {}
-        capabilities = getattr(type(child), "capabilities", None)
-        if capabilities is None or capabilities.probe_parameter is None:
+        capabilities = type(child).capabilities
+        if probes is None or capabilities.probe_parameter is None:
             return {}
         return capabilities.query_kwargs(probes)
 
@@ -500,23 +484,10 @@ class ShardedIndex(RegisteredIndex):
                     local_mask = None
             local_k = min(k + int(dead_per_shard[shard]), members.shape[0])
             kwargs = self._child_kwargs(child, probes)
+            if local_mask is not None:
+                kwargs["filter"] = local_mask
             with span("shard.scan", shard=shard, rows=int(members.shape[0])):
-                if local_mask is None:
-                    local_ids, distances = child.batch_query(queries, local_k, **kwargs)
-                else:
-                    capabilities = getattr(type(child), "capabilities", None)
-                    if capabilities is not None and capabilities.filterable:
-                        local_ids, distances = child.batch_query(
-                            queries, local_k, filter=local_mask, **kwargs
-                        )
-                    else:
-                        # Unregistered/legacy shard backend: apply the generic
-                        # planner on its behalf so the merge stays exact.
-                        from ..filter.planner import DEFAULT_PLANNER
-
-                        local_ids, distances = DEFAULT_PLANNER.filtered_search(
-                            child, queries, local_k, local_mask, query_kwargs=kwargs
-                        )
+                local_ids, distances = child.batch_query(queries, local_k, **kwargs)
             valid = local_ids >= 0
             global_ids = np.where(
                 valid, members[np.clip(local_ids, 0, members.shape[0] - 1)], -1
@@ -524,23 +495,22 @@ class ShardedIndex(RegisteredIndex):
             return global_ids, distances
 
         shard_range = range(self.n_shards)
-        if self.parallel == "thread" and self.n_shards > 1:
-            if current_trace() is not None:
-                # One context copy per shard task: a Context cannot be
-                # entered concurrently, and the copies carry the active
-                # trace so per-shard scan spans join the request's tree.
-                contexts = [contextvars.copy_context() for _ in shard_range]
-                results = list(
-                    self._executor().map(
-                        lambda context, shard: context.run(run, shard),
-                        contexts,
-                        shard_range,
-                    )
-                )
-            else:
-                results = list(self._executor().map(run, shard_range))
-        else:
+        if queries.shape[0] == 1 or self.n_shards == 1:
             results = [run(shard) for shard in shard_range]
+        elif current_trace() is not None:
+            # One context copy per shard task: a Context cannot be entered
+            # concurrently, and the copies carry the active trace so
+            # per-shard scan spans join the request's tree.
+            contexts = [contextvars.copy_context() for _ in shard_range]
+            results = list(
+                self._executor().map(
+                    lambda context, shard: context.run(run, shard),
+                    contexts,
+                    shard_range,
+                )
+            )
+        else:
+            results = list(self._executor().map(run, shard_range))
         return [result for result in results if result is not None]
 
     def _pending_topk(
@@ -809,7 +779,6 @@ class ShardedIndex(RegisteredIndex):
         stats.update(
             {
                 "partitioner": self.partitioner.name,
-                "parallel": self.parallel,
                 "pending": self.n_pending,
                 "tombstones": self.n_tombstones,
                 "mutation_pressure": self.mutation_pressure,
@@ -843,8 +812,6 @@ class ShardedIndex(RegisteredIndex):
             "n_shards": int(self.n_shards),
             "specs": [[name, params] for name, params in self._specs],
             "metric": self.metric,
-            "parallel": self.parallel,
-            "max_workers": int(self.max_workers),
             "compact_threshold": self.compact_threshold,
             "routing": routing_config,
             "version": int(self.version),
@@ -880,8 +847,6 @@ class ShardedIndex(RegisteredIndex):
             shard_params=[params for _, params in specs],
             partitioner=partitioner_from_state(dict(config.get("routing", {})), arrays),
             metric=str(config.get("metric", "euclidean")),
-            parallel=str(config.get("parallel", "thread")),
-            max_workers=int(config.get("max_workers", 0)) or None,
             compact_threshold=config.get("compact_threshold"),
         )
         index._adopt_stores(

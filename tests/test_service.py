@@ -308,6 +308,42 @@ class TestExecutionModes:
             assert service._pool is not None
         assert service._pool is None
 
+    def test_concurrent_cold_requests_create_one_pool(self, kmeans_index, monkeypatch):
+        import threading
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.service import service as service_module
+
+        created = []
+
+        def slow_pool(**kwargs):
+            time.sleep(0.05)  # widen the check-then-create window
+            pool = ThreadPoolExecutor(**kwargs)
+            created.append(pool)
+            return pool
+
+        monkeypatch.setattr(service_module, "ThreadPoolExecutor", slow_pool)
+        service = SearchService(kmeans_index)
+        barrier = threading.Barrier(2, timeout=10)
+        pools = []
+
+        def cold_request():
+            barrier.wait()
+            pools.append(service._executor())
+
+        threads = [threading.Thread(target=cold_request) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        service.close()
+        for pool in created:
+            pool.shutdown(wait=True)
+        assert len(created) == 1
+        assert pools[0] is pools[1]
+
 
 class TestRouter:
     @pytest.fixture()

@@ -50,7 +50,7 @@ def make_base(n: int = 120, seed: int = 3) -> np.ndarray:
 
 
 def build_index(base: np.ndarray, *, with_store: bool = True) -> ShardedIndex:
-    index = ShardedIndex(3, compact_threshold=None, parallel="serial").build(base)
+    index = ShardedIndex(3, compact_threshold=None).build(base)
     if with_store:
         index.set_attributes(random_attribute_store(base.shape[0], seed=11))
     return index
@@ -370,6 +370,34 @@ class TestCheckpoints:
         # empty WAL -> checkpoint is a no-op unless forced
         assert collection.checkpoint() == 1
         assert collection.checkpoint(force=True) == 2
+
+    def test_snapshot_with_legacy_pool_keys_reopens_identically(self, tmp_path):
+        # Older releases wrote the removed ``parallel`` / ``max_workers``
+        # options into the sharded index manifest; such snapshots must
+        # keep loading and answer exactly as before.
+        import json
+
+        root = tmp_path / "c"
+        base = make_base()
+        collection = Collection.create(root, build_index(base))
+        collection.add(base[:6] + 0.01, attributes=attribute_rows(6))
+        collection.remove([1, 5, 121])
+        collection.checkpoint()
+        collection.add(base[6:9] + 0.02, attributes=attribute_rows(3))  # WAL tail
+        queries = make_base(12, seed=8)
+        filters = (None, Range("price", 0, 50))
+        expected = [collection.batch_query(queries, 5, filter=f) for f in filters]
+        collection.close()
+        manifest_file = root / "generations" / "gen-0000000001" / "index" / "index.json"
+        manifest = json.loads(manifest_file.read_text())
+        manifest["config"].update(parallel="process", max_workers=3)
+        manifest_file.write_text(json.dumps(manifest))
+        reopened = Collection.open(root)
+        for filter_, (ids, distances) in zip(filters, expected):
+            got_ids, got_distances = reopened.batch_query(queries, 5, filter=filter_)
+            np.testing.assert_array_equal(got_ids, ids)
+            np.testing.assert_array_equal(got_distances, distances)
+        reopened.close()
 
     def test_keep_generations_prunes_old_snapshots(self, tmp_path):
         root = tmp_path / "c"

@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 from repro.api import make_index
 from repro.filter import And, AttributeStore, Eq, Range
 from repro.net import SearchServer, ServerConfig, request_json
-from repro.net.metrics import ServerMetrics, escape_label_value, format_labels
+from repro.net.metrics import ServerMetrics
+from repro.obs.metrics import escape_label_value, format_labels
 from repro.service import QueryRequest, Router, SearchService
 from repro.service.cache import QueryCache
 from repro.tenant import (
@@ -81,7 +82,7 @@ def make_mutable_service(n=50):
 
     rng = np.random.default_rng(7)
     base = rng.normal(size=(n, DIM))
-    index = ShardedIndex(2, compact_threshold=None, parallel="serial").build(base)
+    index = ShardedIndex(2, compact_threshold=None).build(base)
     return SearchService(index, name="ns"), base
 
 
@@ -640,7 +641,7 @@ class TestTenantRegistry:
 
         rng = np.random.default_rng(9)
         base = rng.normal(size=(40, DIM))
-        index = ShardedIndex(2, compact_threshold=None, parallel="serial").build(base)
+        index = ShardedIndex(2, compact_threshold=None).build(base)
         store = AttributeStore()
         store.add_categorical("owner", ["acme" if i % 2 else "globex" for i in range(40)])
         index.set_attributes(store)
