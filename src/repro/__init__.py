@@ -18,8 +18,8 @@ HNSW, ScaNN) — into one system behind a single public API:
   ``.npz`` arrays), answering queries bitwise-identically after reload.
 * Serving — :class:`repro.service.SearchService` wraps any built or
   reloaded index with typed :class:`repro.service.QueryRequest` requests,
-  micro-batching, thread-pooled execution, an optional LRU result cache,
-  and latency/throughput/recall counters; :class:`repro.service.Router`
+  micro-batching, an optional LRU result cache, and
+  latency/throughput/recall counters; :class:`repro.service.Router`
   hosts several named services with capability-based dispatch and
   whole-deployment save/restore.
 
@@ -35,8 +35,7 @@ lazily, so ``import repro`` stays cheap):
 
 Naming convention: *indexes build, codecs fit* — every index exposes
 ``build``; the quantizers (:class:`repro.ann.ProductQuantizer`,
-:class:`repro.ann.AnisotropicQuantizer`) keep ``fit``.  The old spellings
-survive as thin aliases that raise :class:`DeprecationWarning`.
+:class:`repro.ann.AnisotropicQuantizer`) keep ``fit``.
 """
 
 from __future__ import annotations

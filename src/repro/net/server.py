@@ -33,7 +33,7 @@ in-process call never needed:
 Endpoints (JSON unless noted)::
 
     POST /query              {"vector": [...], "request": {...}}
-    POST /batch_query        {"vectors": [[...]], "request": {...}, "mode": "auto"}
+    POST /batch_query        {"vectors": [[...]], "request": {...}}
     POST /add                {"vectors": [[...]], "attributes": {col: [...]}}
     POST /remove             {"ids": [...]}
     POST /extend_attributes  {"rows": {col: [...]}}
@@ -126,7 +126,7 @@ class ServerConfig:
     ``default_deadline_seconds`` applies when a request sends no
     ``X-Deadline-Ms`` header (``None`` = no implicit deadline).
     ``chunk_rows`` is the deadline-check granularity of batch execution
-    (defaults to the service's own micro-batch size).
+    (``None`` = the service's own micro-batch size; otherwise at least 1).
     ``trace_sample_rate`` is the head-sampling probability for request
     traces (0 disables head sampling; slow/error requests are still
     tail-recorded past ``slow_trace_seconds``); ``trace_capacity`` and
@@ -159,6 +159,8 @@ class ServerConfig:
             raise ValidationError("default_deadline_seconds must be positive or None")
         if float(self.drain_grace_seconds) <= 0:
             raise ValidationError("drain_grace_seconds must be positive")
+        if self.chunk_rows is not None and int(self.chunk_rows) < 1:
+            raise ValidationError("chunk_rows must be positive or None")
         if not 0.0 <= float(self.trace_sample_rate) <= 1.0:
             raise ValidationError("trace_sample_rate must be in [0, 1]")
         if float(self.slow_trace_seconds) <= 0:
@@ -705,20 +707,17 @@ class SearchServer:
         if endpoint == "batch_query":
             vectors = _required_array(body, "vectors", ndim=2)
             query_request = self._request_from(body)
-            mode = str(body.get("mode", "auto"))
             chunk_rows = int(self.config.chunk_rows or service.batch_size)
 
             def job() -> Dict[str, Any]:
                 deadline.check("execution")
                 if vectors.shape[0] == 0:
-                    return service.search_batch(vectors, query_request, mode=mode).as_dict()
+                    return service.search_batch(vectors, query_request).as_dict()
                 parts = []
                 for start in range(0, vectors.shape[0], chunk_rows):
                     deadline.check("execution")
                     parts.append(
-                        service.search_batch(
-                            vectors[start : start + chunk_rows], query_request, mode=mode
-                        )
+                        service.search_batch(vectors[start : start + chunk_rows], query_request)
                     )
                 deadline.check("execution")
                 return _merge_batches(parts, query_request).as_dict()
@@ -942,6 +941,5 @@ def _merge_batches(parts, request: QueryRequest) -> BatchResult:
         distances=np.vstack([part.distances for part in parts]),
         request=request,
         elapsed_seconds=float(sum(part.elapsed_seconds for part in parts)),
-        mode=parts[0].mode,
         cache_hits=int(sum(part.cache_hits for part in parts)),
     )

@@ -194,14 +194,11 @@ class ReplicaGroup:
         request=None,
         *,
         session: Optional[SessionToken] = None,
-        mode: str = "auto",
         ground_truth=None,
         **overrides,
     ):
         service = self._route_read(session)
-        result = service.search_batch(
-            queries, request, mode=mode, ground_truth=ground_truth, **overrides
-        )
+        result = service.search_batch(queries, request, ground_truth=ground_truth, **overrides)
         if session is not None and service.collection is not None:
             session.observe(service.collection.last_seq)
         return result

@@ -7,8 +7,8 @@ one":
 * :class:`QueryRequest` / :class:`QueryResult` / :class:`BatchResult` —
   typed request/response objects replacing positional query knobs;
 * :class:`SearchService` — wraps any built :class:`repro.api.AnnIndex`
-  with micro-batching, a thread-pooled execution path, an optional LRU
-  result cache, and latency/throughput/recall counters via ``stats()``;
+  with micro-batching on the calling thread, an optional LRU result
+  cache, and latency/throughput/recall counters via ``stats()``;
 * :class:`Router` — hosts multiple named services (multi-dataset /
   multi-index deployments) with capability-based or round-robin dispatch
   and whole-deployment ``save`` / ``Router.load``.
@@ -27,7 +27,7 @@ from .cache import QueryCache
 from .metrics import ServiceMetrics, batch_recall
 from .request import BatchResult, QueryRequest, QueryResult
 from .router import Router
-from .service import EXECUTION_MODES, SearchService
+from .service import SearchService, check_service_surface
 
 __all__ = [
     "QueryCache",
@@ -37,6 +37,6 @@ __all__ = [
     "QueryRequest",
     "QueryResult",
     "Router",
-    "EXECUTION_MODES",
     "SearchService",
+    "check_service_surface",
 ]

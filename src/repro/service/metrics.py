@@ -1,9 +1,9 @@
 """Per-service counters: latency, throughput, cache hit rate, recall.
 
 The counters are updated under a lock because :class:`SearchService` may
-serve from multiple threads (its own pool, or the caller's).  Latencies
-are kept in a bounded window so ``stats()`` can report percentiles without
-unbounded memory growth on a long-lived service.
+serve from multiple caller threads at once.  Latencies are kept in a
+bounded window so ``stats()`` can report percentiles without unbounded
+memory growth on a long-lived service.
 """
 
 from __future__ import annotations
@@ -52,11 +52,8 @@ class ServiceMetrics:
         self.query_seconds = 0.0
         self.recall_sum = 0.0
         self.recall_queries = 0
-        self.by_mode: Dict[str, int] = {}
 
-    def observe_batch(
-        self, n_queries: int, seconds: float, mode: str, cache_hits: int = 0
-    ) -> None:
+    def observe_batch(self, n_queries: int, seconds: float, cache_hits: int = 0) -> None:
         if n_queries < 1:
             return
         with self._lock:
@@ -64,7 +61,6 @@ class ServiceMetrics:
             self.batches += 1
             self.cache_hits += int(cache_hits)
             self.query_seconds += float(seconds)
-            self.by_mode[mode] = self.by_mode.get(mode, 0) + int(n_queries)
             self._latencies.append(float(seconds) / n_queries)
 
     def observe_recall(self, recall: float, n_queries: int) -> None:
@@ -81,7 +77,6 @@ class ServiceMetrics:
             self.query_seconds = 0.0
             self.recall_sum = 0.0
             self.recall_queries = 0
-            self.by_mode = {}
 
     @property
     def mean_recall(self) -> Optional[float]:
@@ -104,7 +99,6 @@ class ServiceMetrics:
                 "cache_hit_ratio": (
                     self.cache_hits / self.queries if self.queries else 0.0
                 ),
-                "by_mode": dict(self.by_mode),
             }
             if latencies.size:
                 snapshot["mean_latency_ms"] = float(latencies.mean() * 1e3)

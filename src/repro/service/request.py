@@ -9,7 +9,7 @@ descriptor attached to every registered class.
 
 Results come back as :class:`QueryResult` (one query) or
 :class:`BatchResult` (a query matrix), both carrying the ids/distances
-*and* the serving metadata — elapsed time, execution mode, cache hits —
+*and* the serving metadata — elapsed time, cache hits —
 so throughput numbers reported by benchmarks are produced by the same
 instrumented path applications would serve from.
 """
@@ -276,7 +276,6 @@ class BatchResult:
     distances: np.ndarray
     request: QueryRequest
     elapsed_seconds: float
-    mode: str = "serial"
     cache_hits: int = 0
     recall: Optional[float] = None
 
@@ -318,7 +317,6 @@ class BatchResult:
             "elapsed_seconds": float(self.elapsed_seconds),
             "per_query_latency_seconds": [per_query] * self.n_queries,
             "queries_per_second": float(self.queries_per_second),
-            "mode": str(self.mode),
             "cache_hits": int(self.cache_hits),
             "recall": None if self.recall is None else float(self.recall),
             "request": self.request.as_dict(),
@@ -338,7 +336,6 @@ class BatchResult:
             ),
             request=request,
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
-            mode=str(data.get("mode", "serial")),
             cache_hits=int(data.get("cache_hits", 0)),
             recall=None if recall is None else float(recall),
         )

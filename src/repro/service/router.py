@@ -29,7 +29,7 @@ import numpy as np
 from ..api.persistence import load_index
 from ..utils.exceptions import ConfigurationError, SerializationError, ValidationError
 from .request import BatchResult, QueryRequest, QueryResult
-from .service import SearchService
+from .service import SearchService, check_service_surface
 
 ROUTER_FORMAT = "repro-router"
 ROUTER_FORMAT_VERSION = 1
@@ -92,12 +92,7 @@ class Router:
         are runtime wiring, not a persisted artifact: :meth:`save`
         refuses them (save the primary's collection instead).
         """
-        for attr in ("search", "search_batch", "stats", "service_config"):
-            if not hasattr(group, attr):
-                raise ValidationError(
-                    f"{type(group).__name__} does not look like a replica "
-                    f"group (missing {attr!r})"
-                )
+        check_service_surface(group, "replica group")
         return self.add_service(name, group)
 
     def add_tenant(self, name: str, gateway) -> "SearchService":
@@ -110,12 +105,7 @@ class Router:
         refuses them — persist the underlying namespace instead and
         re-provision tenants from their declarative configs.
         """
-        for attr in ("search", "search_batch", "stats", "service_config"):
-            if not hasattr(gateway, attr):
-                raise ValidationError(
-                    f"{type(gateway).__name__} does not look like a tenant "
-                    f"gateway (missing {attr!r})"
-                )
+        check_service_surface(gateway, "tenant gateway")
         return self.add_service(name, gateway)
 
     def remove(self, name: str) -> None:
@@ -239,16 +229,13 @@ class Router:
         request: Optional[QueryRequest] = None,
         *,
         name: Optional[str] = None,
-        mode: str = "auto",
         ground_truth: Optional[np.ndarray] = None,
         **route_and_overrides,
     ) -> BatchResult:
         route_kwargs, overrides = self._split_route_kwargs(route_and_overrides)
         self._imply_filterable(name, request, overrides, route_kwargs)
         service = self.route(name, **route_kwargs)
-        return service.search_batch(
-            queries, request, mode=mode, ground_truth=ground_truth, **overrides
-        )
+        return service.search_batch(queries, request, ground_truth=ground_truth, **overrides)
 
     @staticmethod
     def _imply_filterable(
@@ -342,8 +329,6 @@ class Router:
         for name, config in manifest.get("services", {}).items():
             service_kwargs = dict(
                 batch_size=int(config.get("batch_size", 256)),
-                max_workers=int(config.get("max_workers", 0)) or None,
-                parallel_threshold=int(config.get("parallel_threshold", 512)),
                 cache_size=int(config.get("cache_size", 0)),
                 default_request=QueryRequest.from_dict(
                     config.get("default_request", {})

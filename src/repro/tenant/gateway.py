@@ -250,7 +250,6 @@ class TenantGateway:
         queries: np.ndarray,
         request: Optional[QueryRequest] = None,
         *,
-        mode: str = "auto",
         ground_truth: Optional[np.ndarray] = None,
         **overrides,
     ) -> BatchResult:
@@ -265,20 +264,16 @@ class TenantGateway:
         # delegate, so ground-truth calls bypass the gateway partition.
         cache = self._partition() if ground_truth is None and n else None
         if cache is None:
-            result = self.service.search_batch(
-                queries, request, mode=mode, ground_truth=ground_truth
-            )
+            result = self.service.search_batch(queries, request, ground_truth=ground_truth)
             self._observe_query(n, time.perf_counter() - start, hits=result.cache_hits)
             return result
         keys = [self._cache_key(row, request) for row in queries]
         hits = [cache.get(key) for key in keys]
         missing = [row for row, hit in enumerate(hits) if hit is None]
         inner_hits = 0
-        inner_mode = "cached"
         if missing:
-            inner = self.service.search_batch(queries[missing], request, mode=mode)
+            inner = self.service.search_batch(queries[missing], request)
             inner_hits = inner.cache_hits
-            inner_mode = inner.mode
             for position, row in enumerate(missing):
                 cache.put(keys[row], inner.ids[position], inner.distances[position])
             self._reconcile_budget()
@@ -303,7 +298,6 @@ class TenantGateway:
             distances=distances,
             request=request,
             elapsed_seconds=elapsed,
-            mode=inner_mode,
             cache_hits=gateway_hits + inner_hits,
         )
 

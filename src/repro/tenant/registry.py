@@ -27,6 +27,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
+from ..service import check_service_surface
 from ..utils.exceptions import UnknownTenantError, ValidationError
 from .cache import CacheBudget
 from .config import TenantConfig
@@ -34,10 +35,6 @@ from .gateway import TenantGateway
 from .scheduler import FairScheduler
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-#: Methods a namespace target must answer — the same duck-typed serving
-#: surface the Router checks before hosting a replica group.
-_SERVICE_SURFACE = ("search", "search_batch", "stats", "service_config")
 
 
 class TenantRegistry:
@@ -92,16 +89,7 @@ class TenantRegistry:
     def add_namespace(self, name: str, service) -> None:
         """Register a serving target tenants can attach to."""
         name = self._check_name(name, "namespace")
-        missing = [
-            method
-            for method in _SERVICE_SURFACE
-            if not callable(getattr(service, method, None))
-        ]
-        if missing:
-            raise ValidationError(
-                f"{type(service).__name__} does not look like a serving "
-                f"target: missing {missing}"
-            )
+        check_service_surface(service, "serving target")
         with self._lock:
             if name in self._namespaces:
                 raise ValidationError(f"namespace {name!r} already registered")

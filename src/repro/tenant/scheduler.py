@@ -223,7 +223,6 @@ class FairScheduler:
                 distances=result.distances[offset : offset + n].copy(),
                 request=pick.request,
                 elapsed_seconds=elapsed,
-                mode=result.mode,
                 cache_hits=result.cache_hits if len(members) == 1 else 0,
             )
             offset += n

@@ -118,18 +118,6 @@ class TestProtocol:
         assert stats["name"] == "kmeans"
         assert stats["capabilities"]["probe_parameter"] == "n_probes"
 
-    def test_fit_alias_is_deprecated(self, api_dataset):
-        index = make_index("kmeans", n_bins=4, seed=0)
-        with pytest.warns(DeprecationWarning, match="use build"):
-            index.fit(api_dataset.base)
-        assert index.is_built
-
-    def test_quantizer_build_alias_is_deprecated(self, api_dataset):
-        from repro.ann import ProductQuantizer
-
-        with pytest.warns(DeprecationWarning, match="use fit"):
-            ProductQuantizer(4, 4, seed=0).build(api_dataset.base)
-
 
 class TestProbeKnobWarning:
     """Requesting probes on a knobless index warns instead of silently dropping."""

@@ -211,6 +211,26 @@ class TestErrorTaxonomy:
         )
         assert status == 400
 
+    def test_server_config_rejects_non_positive_chunk_rows(self):
+        from repro.utils.exceptions import ValidationError
+
+        for chunk_rows in (0, -1):
+            with pytest.raises(ValidationError, match="chunk_rows"):
+                ServerConfig(chunk_rows=chunk_rows)
+        assert ServerConfig(chunk_rows=None).chunk_rows is None
+        assert ServerConfig(chunk_rows=1).chunk_rows == 1
+
+    def test_batch_query_ignores_a_mode_field(self, server, data):
+        _, queries = data
+        body = {"vectors": queries[:3].tolist(), "request": {"k": 3}}
+        status, plain = request_json(server.url + "/batch_query", method="POST", body=body)
+        assert status == 200
+        status, with_mode = request_json(
+            server.url + "/batch_query", method="POST", body={**body, "mode": "warp-speed"}
+        )
+        assert status == 200
+        assert with_mode["ids"] == plain["ids"]
+
 
 # ---------------------------------------------------------------------- #
 # end-to-end equivalence over a durable collection (the acceptance test)

@@ -2,8 +2,8 @@
 
 The two central guarantees:
 
-* the thread-pooled ``search_batch`` path returns results bitwise
-  identical to the serial path for **every** registered index;
+* the micro-batched ``search_batch`` path returns the raw index's
+  answers unchanged;
 * a router with several named indexes round-trips through deployment
   save/restore and serves identical results after reload.
 """
@@ -22,8 +22,6 @@ from repro.service import (
     SearchService,
 )
 from repro.utils.exceptions import ConfigurationError, SerializationError, ValidationError
-
-from test_api_registry import TINY_PARAMS
 
 
 @pytest.fixture(scope="module")
@@ -273,78 +271,6 @@ class TestCacheFreshness:
         assert before.ids[0] not in after.ids
 
 
-@pytest.mark.parametrize("name", sorted(TINY_PARAMS))
-class TestThreadedMatchesSerial:
-    """Concurrency correctness: the thread pool must not change any answer."""
-
-    def test_threaded_bitwise_identical_to_serial(self, name, service_dataset):
-        index = make_index(name, **TINY_PARAMS[name]).build(service_dataset.base)
-        service = SearchService(index, batch_size=4, max_workers=4)
-        request = QueryRequest(k=5, probes=2)
-        serial = service.search_batch(service_dataset.queries, request, mode="serial")
-        threaded = service.search_batch(service_dataset.queries, request, mode="threaded")
-        assert serial.mode == "serial" and threaded.mode == "threaded"
-        np.testing.assert_array_equal(serial.ids, threaded.ids)
-        np.testing.assert_array_equal(serial.distances, threaded.distances)
-
-
-class TestExecutionModes:
-    def test_auto_mode_thresholds(self, kmeans_index, service_dataset):
-        service = SearchService(
-            kmeans_index, batch_size=4, parallel_threshold=16, max_workers=2
-        )
-        small = service.search_batch(service_dataset.queries[:8], k=3, probes=1)
-        large = service.search_batch(service_dataset.queries, k=3, probes=1)
-        assert small.mode == "serial"
-        assert large.mode == "threaded"
-
-    def test_unknown_mode_rejected(self, kmeans_service, service_dataset):
-        with pytest.raises(ValidationError, match="unknown execution mode"):
-            kmeans_service.search_batch(service_dataset.queries, mode="warp-speed")
-
-    def test_context_manager_closes_pool(self, kmeans_index, service_dataset):
-        with SearchService(kmeans_index, batch_size=4) as service:
-            service.search_batch(service_dataset.queries, k=3, probes=1, mode="threaded")
-            assert service._pool is not None
-        assert service._pool is None
-
-    def test_concurrent_cold_requests_create_one_pool(self, kmeans_index, monkeypatch):
-        import threading
-        import time
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.service import service as service_module
-
-        created = []
-
-        def slow_pool(**kwargs):
-            time.sleep(0.05)  # widen the check-then-create window
-            pool = ThreadPoolExecutor(**kwargs)
-            created.append(pool)
-            return pool
-
-        monkeypatch.setattr(service_module, "ThreadPoolExecutor", slow_pool)
-        service = SearchService(kmeans_index)
-        barrier = threading.Barrier(2, timeout=10)
-        pools = []
-
-        def cold_request():
-            barrier.wait()
-            pools.append(service._executor())
-
-        threads = [threading.Thread(target=cold_request) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        service.close()
-        for pool in created:
-            pool.shutdown(wait=True)
-        assert len(created) == 1
-        assert pools[0] is pools[1]
-
-
 class TestRouter:
     @pytest.fixture()
     def router(self, service_dataset, kmeans_index):
@@ -409,6 +335,28 @@ class TestRouter:
         # service configuration (cache size, default request) is restored too
         assert reloaded.service("kmeans").cache is not None
         assert reloaded.service("kmeans").cache.max_entries == 16
+
+    def test_manifest_with_removed_pool_keys_still_loads(
+        self, router, service_dataset, tmp_path
+    ):
+        # Older releases wrote max_workers / parallel_threshold into each
+        # service's entry; the loader must ignore them.
+        import json
+
+        deployment = tmp_path / "deployment"
+        router.save(deployment)
+        manifest_file = deployment / "router.json"
+        manifest = json.loads(manifest_file.read_text())
+        for config in manifest["services"].values():
+            assert "max_workers" not in config and "parallel_threshold" not in config
+            config.update(max_workers=3, parallel_threshold=64)
+        manifest_file.write_text(json.dumps(manifest))
+        reloaded = Router.load(deployment)
+        for name in router.names():
+            before = router.search_batch(service_dataset.queries, name=name, k=5, probes=2)
+            after = reloaded.search_batch(service_dataset.queries, name=name, k=5, probes=2)
+            np.testing.assert_array_equal(before.ids, after.ids)
+            np.testing.assert_array_equal(before.distances, after.distances)
 
     def test_save_empty_router_raises(self, tmp_path):
         with pytest.raises(SerializationError, match="empty router"):
